@@ -67,6 +67,7 @@ def write_bench_results(name: str, results: dict, meta: dict = None) -> str:
     payload["meta"].update({
         "python": platform.python_version(),
         "platform": platform.platform(),
+        "cpu_count": os.cpu_count() or 1,
         "updated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     })
     if meta:

@@ -101,9 +101,10 @@ class StatisticsManager:
         self._stats: Dict[str, TableStatistics] = {}
         self._dml_since_analyze: Dict[str, int] = {}
         self.auto_refresh = auto_refresh
-        #: Guards the staleness counters: parallel spill workers may touch
-        #: planner statistics concurrently with the main thread's DML
-        #: bookkeeping, and ``dict.get`` + ``=`` is not atomic.
+        #: Guards the staleness counters: the server runs statements on
+        #: several threads at once, so planner-statistics reads may race
+        #: another statement's DML bookkeeping, and ``dict.get`` + ``=`` is
+        #: not atomic.
         self._dml_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -139,11 +139,6 @@ class JoinPlan:
     #: the build is expected to fit in memory.  Set by
     #: :func:`annotate_spill_expectations`, rendered by EXPLAIN.
     spill_partitions: Optional[int] = None
-    #: Worker fan-out the executor will apply to this node's spill
-    #: partitions (``EngineConfig.parallel_workers`` when >= 2 and the node
-    #: is expected to spill); ``None`` means serial partition processing.
-    #: Set by :func:`annotate_spill_expectations`, rendered by EXPLAIN.
-    parallel_workers: Optional[int] = None
 
 
 PlanNode = Union[ScanPlan, JoinPlan]
@@ -887,8 +882,7 @@ def estimated_sort_runs(rows: float, budget_rows: int) -> int:
 
 
 def annotate_spill_expectations(node: PlanNode,
-                                budget_rows: Optional[int],
-                                parallel_workers: int = 0) -> None:
+                                budget_rows: Optional[int]) -> None:
     """Mark the hash joins whose build side is expected to exceed the memory
     budget with the partition fan-out the executor should use.
 
@@ -896,23 +890,17 @@ def annotate_spill_expectations(node: PlanNode,
     (``HashJoin ... [spill: N partitions]``) and the engine passes the
     fan-out to the operator as its ``spill_partitions`` hint.  The executor
     still spills adaptively when estimates are wrong — the annotation is a
-    prediction, actual activity lands in ``engine.last_spill``.  When the
-    engine runs spill partitions on a worker pool (``parallel_workers`` >=
-    2), the expected-to-spill nodes carry that fan-out too, so EXPLAIN shows
-    ``[parallel: N workers]`` exactly where workers would engage.
+    prediction, actual activity lands in ``engine.last_spill``.
     """
     if isinstance(node, ScanPlan):
         return
-    annotate_spill_expectations(node.left, budget_rows, parallel_workers)
-    annotate_spill_expectations(node.right, budget_rows, parallel_workers)
+    annotate_spill_expectations(node.left, budget_rows)
+    annotate_spill_expectations(node.right, budget_rows)
     node.spill_partitions = None
-    node.parallel_workers = None
     if budget_rows is not None and node.strategy == "hash" \
             and node.right.estimated_rows > budget_rows:
         node.spill_partitions = estimated_spill_partitions(
             node.right.estimated_rows, budget_rows)
-        if parallel_workers >= 2:
-            node.parallel_workers = parallel_workers
 
 
 # ---------------------------------------------------------------------------
@@ -1153,8 +1141,6 @@ def plan_to_dict(node: PlanNode) -> Dict[str, Any]:
         result["index"] = node.index_name
     if node.spill_partitions is not None:
         result["spill_partitions"] = node.spill_partitions
-    if node.parallel_workers is not None:
-        result["parallel_workers"] = node.parallel_workers
     return result
 
 
@@ -1201,8 +1187,6 @@ def format_plan(node: PlanNode, indent: int = 0) -> str:
         detail += f" [filter: {predicates}]"
     if node.spill_partitions is not None:
         detail += f" [spill: {node.spill_partitions} partitions]"
-    if node.parallel_workers is not None:
-        detail += f" [parallel: {node.parallel_workers} workers]"
     header = (f"{pad}{STRATEGY_LABELS[node.strategy]} [{node.join_type}]{detail} "
               f"(est. rows={node.estimated_rows:.0f})")
     return "\n".join([header,

@@ -65,10 +65,10 @@ class SpillStats:
     input rows an operator pushed out of memory, read its event (e.g.
     ``build_rows``/``probe_rows``/``spilled_rows``).
 
-    All mutation goes through the internal lock: with
-    ``EngineConfig.parallel_workers`` > 0, partition workers append spill
-    rows and per-partition timings concurrently, and the stats object is
-    shared by every spill manager of the query.
+    All mutation goes through the internal lock: the stats object is shared
+    by every spill manager of the query, and a caller may hand one object to
+    managers on different threads (the server runs statements at the same
+    time), so the counters must stay exact under concurrent updates.
     """
 
     spill_files: int = 0
@@ -106,11 +106,7 @@ class SpillStats:
             event[key] = event.get(key, 0) + delta
 
     def note_partition(self, event: Dict[str, Any], **info: Any) -> None:
-        """Append one per-partition timing/attribution record to an event.
-
-        Workers call this concurrently; records therefore arrive in
-        *completion* order — sort by ``partition`` for a stable view.
-        """
+        """Append one per-partition timing record to an event."""
         with self._lock:
             event.setdefault("partition_timings", []).append(dict(info))
 
@@ -146,24 +142,16 @@ class SpillManager:
     """
 
     def __init__(self, budget_rows: int, stats: Optional[SpillStats] = None,
-                 directory: Optional[str] = None, parallel: Optional[Any] = None):
+                 directory: Optional[str] = None):
         if budget_rows <= 0:
             raise StorageError(f"spill budget must be positive, got {budget_rows}")
         self.budget_rows = budget_rows
         self.directory = directory
         self.stats = stats if stats is not None else SpillStats()
-        if parallel is None:
-            # Imported lazily: the storage layer must not import the executor
-            # package at module load (repro.executor.__init__ imports the
-            # engine, which imports this module).
-            from repro.executor.parallel import MaybeParallel
-            parallel = MaybeParallel(0)
-        #: Serial/parallel dispatch facade (``MaybeParallel``) the spilling
-        #: operators fan partition work out through.  Workers share this
-        #: manager, so interning and stats below are lock-protected.
-        self.parallel = parallel
         self._annotations: List[Any] = []
         self._indices: Dict[Any, int] = {}
+        #: Interning is lock-protected so a manager used from more than one
+        #: thread never hands out two indices for the same annotation.
         self._intern_lock = threading.Lock()
 
     # -- annotation interning -------------------------------------------

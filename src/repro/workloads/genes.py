@@ -158,9 +158,15 @@ def build_gene_protein_pipeline(db: Database, num_genes: int = 30, seed: int = 3
     functions = ["Hypothetical protein", "Cell wall formation", "Exhibitor",
                  "Transcription factor", "Membrane transport"]
     gene_rows = []
+    used_names = set()
     for index in range(num_genes):
         gid = gene_identifier(index)
         name = gene_name(index, rng)
+        # Gene names double as Protein's primary key; redraw a repeat (the
+        # pool is only 26^3 * 8), which leaves collision-free seeds unchanged.
+        while name in used_names:
+            name = gene_name(index, rng)
+        used_names.add(name)
         seq = dna_sequence(sequence_length, rng)
         gene_rows.append((gid, name, seq))
         summary = db.execute(f"INSERT INTO Gene VALUES ('{gid}', '{name}', '{seq}')")

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import tracemalloc
 
-from repro import Database
+import pytest
+
+from repro import Database, EngineConfig
+from repro.core.errors import PlanningError
 from repro.storage.buffer_pool import DecodedCacheView, DecodedPageCache
 
 
@@ -205,6 +208,30 @@ class TestEngineIntegration:
         db.config.decoded_page_cache_pages = 0
         db.query(QUERY)
         assert len(db.catalog.pool.decoded) == 0
+
+
+# ---------------------------------------------------------------------------
+# Knob validation and plan-cache fingerprint
+# ---------------------------------------------------------------------------
+class TestKnob:
+    def test_config_rejects_bad_cache_pages(self):
+        with pytest.raises(PlanningError):
+            EngineConfig(decoded_page_cache_pages=-1)
+        with pytest.raises(PlanningError):
+            EngineConfig(decoded_page_cache_pages=True)
+
+    def test_mutated_knob_rechecked_at_query_time(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.config.decoded_page_cache_pages = -3
+        with pytest.raises(PlanningError):
+            db.query("SELECT id FROM t")
+
+    def test_knob_participates_in_plan_cache_fingerprint(self):
+        config = EngineConfig()
+        base = config.fingerprint()
+        config.decoded_page_cache_pages = 64
+        assert config.fingerprint() != base
 
 
 # ---------------------------------------------------------------------------

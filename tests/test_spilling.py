@@ -10,13 +10,20 @@ bounded peak memory (tracemalloc, the PR-2 LIMIT test pattern), return the
 same answers as the in-memory path, and report the spill through EXPLAIN
 and ``engine.last_spill``.
 
-The differential matrix rows that force spilling across strategy × mode ×
-batch size live in ``tests/test_join_differential.py``.
+A spill differential runs every spilling query shape under a tight budget
+across join strategy × execution mode and checks it against the unbudgeted
+in-memory run (exact order where the query has ORDER BY, as a multiset
+otherwise), with a guard that every spilling operator really spilled.
+Thread-safety stress tests cover the shared state concurrent statements
+touch (``SpillStats``, statistics staleness counters).  The join
+differential rows that force spilling across batch sizes live in
+``tests/test_join_differential.py``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 
 import pytest
@@ -558,3 +565,278 @@ class TestConfig:
         payload = stats.as_dict()
         assert payload["operators"] == [{"operator": "sort", "runs": 2}]
         assert payload["spill_files"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Spill differential: every spilling shape against the in-memory run
+# ---------------------------------------------------------------------------
+def build_spill_db() -> Database:
+    """Two annotated tables sized so every breaker spills under budget 48."""
+    db = Database()
+    db.execute("CREATE TABLE fact (id INTEGER, k INTEGER, v FLOAT, s TEXT)")
+    db.execute("CREATE TABLE dim (k INTEGER, label TEXT)")
+    db.execute("CREATE ANNOTATION TABLE fnote ON fact")
+    db.execute("CREATE ANNOTATION TABLE dnote ON dim")
+    for i in range(600):
+        k = "NULL" if i % 13 == 0 else str(i % 40)
+        db.execute(f"INSERT INTO fact VALUES ({i}, {k}, {(i * 37) % 100}.25, "
+                   f"'s{i % 23}')")
+    for i in range(90):
+        k = "NULL" if i % 11 == 0 else str(i % 50)
+        db.execute(f"INSERT INTO dim VALUES ({k}, 'd{i % 7}')")
+    # NaN sort/group keys can't be written as SQL literals; plant them
+    # through the catalog so the matrix covers NaN bucketing too.
+    fact = db.catalog.table("fact")
+    for tuple_id in range(0, 600, 17):
+        fact.update_row(tuple_id, {"v": NAN})
+    db.execute("ADD ANNOTATION TO fact.fnote VALUE 'hot row' "
+               "ON (SELECT f.id FROM fact f WHERE f.id < 120)")
+    db.execute("ADD ANNOTATION TO fact.fnote VALUE 'curated' "
+               "ON (SELECT f.s FROM fact f WHERE f.k = 7)")
+    db.execute("ADD ANNOTATION TO dim.dnote VALUE 'dimension' "
+               "ON (SELECT d.label FROM dim d WHERE d.k < 25)")
+    return db
+
+
+#: Every spilling breaker: Grace/hybrid hash join, spilled GROUP BY,
+#: spilled DISTINCT, external sort, merge-join duplicate groups,
+#: INTERSECT/EXCEPT partitioning, and spilled DISTINCT-aggregate seen-sets.
+SPILL_SHAPES = {
+    "join_ordered": (
+        "SELECT f.id, d.label FROM fact ANNOTATION(fnote) f, "
+        "dim ANNOTATION(dnote) d WHERE f.k = d.k ORDER BY f.id, d.label"
+    ),
+    "join_streamed": (
+        "SELECT f.id, d.label FROM fact ANNOTATION(fnote) f, "
+        "dim ANNOTATION(dnote) d WHERE f.k = d.k"
+    ),
+    "left_join": (
+        "SELECT f.id, d.label FROM fact ANNOTATION(fnote) f "
+        "LEFT JOIN dim ANNOTATION(dnote) d ON f.k = d.k ORDER BY f.id, d.label"
+    ),
+    "group_by": (
+        "SELECT k, COUNT(*), SUM(v) FROM fact ANNOTATION(fnote) GROUP BY k"
+    ),
+    "distinct": "SELECT DISTINCT k, s FROM fact ANNOTATION(fnote)",
+    "order_by": "SELECT id, v FROM fact ANNOTATION(fnote) ORDER BY v",
+    "distinct_aggregate": (
+        "SELECT COUNT(DISTINCT id), COUNT(DISTINCT s), SUM(v) "
+        "FROM fact ANNOTATION(fnote)"
+    ),
+    "intersect": "SELECT k FROM fact INTERSECT SELECT k FROM dim",
+    "except": "SELECT k FROM fact EXCEPT SELECT k FROM dim",
+}
+
+STRATEGIES = ("auto", "hash", "merge")
+MODES = ("streaming", "row", "materialized")
+BUDGET = 48
+
+
+def ordered_snapshot(result):
+    """Exact output: values, order, and annotation identity per column."""
+    rows = []
+    for row in result.rows:
+        annotations = tuple(
+            tuple(sorted((a.annotation_table, a.ann_id) for a in anns))
+            for anns in row.annotations
+        )
+        rows.append((tuple(repr(v) for v in row.values), annotations))
+    return rows
+
+
+def run_shape(db: Database, query: str, strategy: str, mode: str,
+              budget: int = BUDGET):
+    db.config.memory_budget_rows = budget
+    db.config.join_strategy = strategy
+    db.config.execution_mode = mode
+    try:
+        return ordered_snapshot(db.query(query))
+    finally:
+        db.config.memory_budget_rows = None
+        db.config.join_strategy = "auto"
+        db.config.execution_mode = "streaming"
+
+
+@pytest.fixture(scope="module")
+def spill_db() -> Database:
+    return build_spill_db()
+
+
+@pytest.fixture(scope="module")
+def in_memory_reference(spill_db):
+    """The unbudgeted default-config output of every shape."""
+    return {shape: ordered_snapshot(spill_db.query(query))
+            for shape, query in SPILL_SHAPES.items()}
+
+
+@pytest.mark.parametrize("shape", sorted(SPILL_SHAPES))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("mode", MODES)
+def test_spilled_output_matches_in_memory(spill_db, in_memory_reference,
+                                          shape, strategy, mode):
+    """The budgeted run equals the unbudgeted in-memory run: values and
+    annotation identity always, row order too when the query has ORDER BY
+    (spilling may legitimately reorder the other shapes)."""
+    query = SPILL_SHAPES[shape]
+    spilled = run_shape(spill_db, query, strategy, mode)
+    expected = in_memory_reference[shape]
+    if "ORDER BY" in query:
+        assert spilled == expected
+    else:
+        assert sorted(spilled, key=repr) == sorted(expected, key=repr)
+
+
+def test_matrix_actually_spills(spill_db):
+    """Guard against the matrix silently shrinking below the budget: the
+    join, group-by, distinct, sort, set-op, and distinct-aggregate shapes
+    must each report spill activity."""
+    seen = set()
+    for shape, query in SPILL_SHAPES.items():
+        run_shape(spill_db, query, "hash" if "join" in shape else "auto",
+                  "streaming")
+        seen |= {event["operator"]
+                 for event in spill_db.engine.last_spill.operators}
+    assert {"hash_join", "group_by", "distinct", "sort", "intersect",
+            "except", "distinct_aggregate"} <= seen
+
+
+def test_merge_join_spills_under_budget(spill_db):
+    run_shape(spill_db, SPILL_SHAPES["join_streamed"], "merge", "streaming")
+    operators = {event["operator"]
+                 for event in spill_db.engine.last_spill.operators}
+    assert "merge_join" in operators
+
+
+def test_partition_timings_follow_partition_order(spill_db):
+    # A tight budget forces a wide fan-out, so several partition pairs run.
+    run_shape(spill_db, SPILL_SHAPES["join_streamed"], "hash", "streaming",
+              budget=10)
+    (event,) = spill_db.engine.last_spill.events("hash_join")
+    timings = event["partition_timings"]
+    assert timings and all(t["seconds"] >= 0 for t in timings)
+    indices = [t["partition"] for t in timings]
+    assert indices == sorted(indices)
+    assert event["hybrid"] is True
+    assert event["partitions"] >= 4
+    assert event["build_rows"] >= event["resident_build_rows"]
+
+
+def test_explain_marks_spilling_join(spill_db):
+    spill_db.config.memory_budget_rows = BUDGET
+    spill_db.config.join_strategy = "hash"
+    try:
+        explained = spill_db.explain(SPILL_SHAPES["join_streamed"])
+        assert "[spill:" in explained.message
+        assert "parallel" not in explained.message
+    finally:
+        spill_db.config.memory_budget_rows = None
+        spill_db.config.join_strategy = "auto"
+
+
+def test_repeated_spilled_queries_are_deterministic(spill_db):
+    """The same spilled join, repeatedly, returns identical output and
+    identical spill totals each time."""
+    reference_rows = None
+    reference_spill = None
+    for _ in range(5):
+        rows = run_shape(spill_db, SPILL_SHAPES["join_ordered"], "hash",
+                         "streaming")
+        spilled = spill_db.engine.last_spill.spilled_rows
+        if reference_rows is None:
+            reference_rows, reference_spill = rows, spilled
+        assert rows == reference_rows
+        assert spilled == reference_spill
+
+
+# ---------------------------------------------------------------------------
+# Spill-aware build-side choice (explicit INNER JOIN)
+# ---------------------------------------------------------------------------
+class TestBuildSideSwap:
+    def build_db(self):
+        db = Database()
+        db.execute("CREATE TABLE small (k INTEGER, a TEXT)")
+        db.execute("CREATE TABLE big (k INTEGER, b TEXT)")
+        for i in range(30):
+            db.execute(f"INSERT INTO small VALUES ({i % 20}, 'a{i}')")
+        for i in range(400):
+            db.execute(f"INSERT INTO big VALUES ({i % 20}, 'b{i}')")
+        db.execute("ANALYZE")
+        return db
+
+    QUERY = ("SELECT small.a, big.b FROM small JOIN big "
+             "ON small.k = big.k")
+
+    def test_under_budget_side_becomes_build(self):
+        db = self.build_db()
+        db.config.join_strategy = "hash"
+        db.config.memory_budget_rows = 100
+        db.query(self.QUERY)
+        plan = db.engine.last_plan
+        # big (400 rows) exceeds the budget, small (30) fits: the planner
+        # must make small the build (right) side instead of spilling big.
+        assert plan.right.table == "small" and plan.left.table == "big"
+        assert not db.engine.last_spill.operators
+
+    def test_no_swap_without_budget(self):
+        db = self.build_db()
+        db.config.join_strategy = "hash"
+        db.query(self.QUERY)
+        assert db.engine.last_plan.right.table == "big"
+
+    def test_left_join_never_swaps(self):
+        db = self.build_db()
+        db.config.join_strategy = "hash"
+        db.config.memory_budget_rows = 100
+        db.query("SELECT small.a, big.b FROM small LEFT JOIN big "
+                 "ON small.k = big.k")
+        assert db.engine.last_plan.right.table == "big"
+
+    def test_swapped_join_matches_unswapped_rows(self):
+        db = self.build_db()
+        db.config.join_strategy = "hash"
+        baseline = sorted(tuple(r.values) for r in db.query(self.QUERY).rows)
+        db.config.memory_budget_rows = 100
+        swapped = sorted(tuple(r.values) for r in db.query(self.QUERY).rows)
+        assert swapped == baseline
+
+
+# ---------------------------------------------------------------------------
+# Thread-safety stress: the server runs statements on several threads
+# ---------------------------------------------------------------------------
+class TestSharedStateThreadSafety:
+    def hammer(self, fn, threads=8, iterations=400):
+        barrier = threading.Barrier(threads)
+
+        def worker():
+            barrier.wait()
+            for _ in range(iterations):
+                fn()
+
+        pool = [threading.Thread(target=worker) for _ in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join()
+        return threads * iterations
+
+    def test_spill_stats_counters_are_exact_under_contention(self):
+        stats = SpillStats()
+        event = stats.record("hash_join", recursive_splits=0)
+        total = self.hammer(lambda: (stats.note_io(1, 10),
+                                     stats.note_event(event, "recursive_splits"),
+                                     stats.note_partition(event, partition=0)))
+        assert stats.spilled_rows == total
+        assert stats.spilled_bytes == total * 10
+        assert event["recursive_splits"] == total
+        assert len(event["partition_timings"]) == total
+
+    def test_statistics_staleness_counters_are_exact_under_contention(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.execute("ANALYZE t")
+        statistics = db.catalog.statistics
+        statistics.auto_refresh = False
+        total = self.hammer(lambda: statistics.on_insert("t", 1))
+        assert statistics._dml_since_analyze["t"] == total
+        assert statistics._stats["t"].row_count == 1 + total

@@ -16,6 +16,7 @@ from repro.workloads import (
     dna_corpus,
     dna_sequence,
     gene_identifier,
+    gene_name,
     mutate_sequence,
     protein_sequence,
     secondary_structure_corpus,
@@ -102,6 +103,28 @@ class TestWorkloadBuilders:
             assert pseq
         # The dependency rules of Figure 9 are registered.
         assert len(db.tracker.rules) == 3
+
+    def test_pipeline_redraws_repeated_gene_names(self):
+        # Seed 5 draws the name 'hsgH' twice within 300 genes; the name is
+        # also Protein's primary key, so the repeat must be redrawn.
+        db = Database()
+        ids = build_gene_protein_pipeline(db, num_genes=300, seed=5,
+                                          with_matching=False)
+        assert len(ids["protein"]) == 300
+        names = [name for _, name, _ in db.query("SELECT * FROM Gene").values()]
+        assert len(set(names)) == 300
+
+    def test_pipeline_data_unchanged_for_collision_free_seeds(self):
+        db = Database()
+        build_gene_protein_pipeline(db, num_genes=10, seed=4,
+                                    with_matching=False)
+        rng = random.Random(4)
+        expected = []
+        for index in range(10):
+            name = gene_name(index, rng)
+            expected.append((gene_identifier(index), name,
+                             dna_sequence(60, rng)))
+        assert db.query("SELECT * FROM Gene").values() == expected
 
     def test_pipeline_without_matching_table(self):
         db = Database()
